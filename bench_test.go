@@ -339,6 +339,12 @@ func BenchmarkAblationLimboPushCASLoop(b *testing.B) {
 func BenchmarkDispatchHotPath(b *testing.B)  { hotpath.DispatchHotPath(b) }
 func BenchmarkHeapLoadParallel(b *testing.B) { hotpath.HeapLoadParallel(b) }
 
+// The remote-atomic ledger points pgas/amo64.none, pgas/amo64.ugni
+// and pgas/dcas.
+func BenchmarkAMO64RemoteNone(b *testing.B) { hotpath.AMO64RemoteNone(b) }
+func BenchmarkAMO64RemoteUGNI(b *testing.B) { hotpath.AMO64RemoteUGNI(b) }
+func BenchmarkDCASRemote(b *testing.B)      { hotpath.DCASRemote(b) }
+
 // The BENCH_6 pair: the aggregated hot-key write storm with in-flight
 // absorption off (baseline) and on (current).
 func BenchmarkWriteStormHotKeyUncombined(b *testing.B) { hotpath.WriteStormHotKeyUncombined(b) }

@@ -119,7 +119,7 @@ func AblationPrivatization(cfg Config) Figure {
 	return Figure{
 		ID:      "A2",
 		Title:   "Ablation: privatization",
-		Caption: "The privatized manager pins against a locale-local cache (zero communication); without privatization every pin is a remote epoch read that serializes on locale 0's progress workers.",
+		Caption: "The privatized manager pins against a locale-local cache (zero communication); without privatization every pin is a remote epoch read that serializes on locale 0's AM handler slots.",
 		Panels:  []Panel{panel},
 	}
 }

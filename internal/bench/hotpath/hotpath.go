@@ -1,10 +1,11 @@
 // Package hotpath holds the measurement-plane hot-path benchmark
 // bodies shared by the repository-root testing.B entry points
-// (BenchmarkDispatchHotPath, BenchmarkHeapLoadParallel) and
-// cmd/benchsmoke, which runs the same workloads through
-// testing.Benchmark to produce the BENCH_5 perf-trajectory JSON. One
-// definition serves both consumers, so the CI bench-smoke gate and
-// the recorded trajectory point cannot drift apart.
+// (BenchmarkDispatchHotPath, BenchmarkHeapLoadParallel, the remote
+// AMO64/DCAS ledger points, ...) and cmd/benchsmoke, which runs the
+// same workloads through testing.Benchmark to produce the BENCH_5
+// perf-trajectory JSON. One definition serves both consumers, so the
+// CI bench-smoke gate and the recorded trajectory point cannot drift
+// apart.
 //
 // The package imports testing and therefore belongs only in test
 // binaries and the benchsmoke tool — library code must not depend on
@@ -82,6 +83,57 @@ func DispatchHotPathTracerIdle(b *testing.B) {
 	rec := trace.NewRecorder(Locales, trace.Config{SampleRate: TraceSampleRate})
 	rec.SetEnabled(false)
 	dispatchHotPath(b, rec)
+}
+
+// amo64Remote is the body of the pgas/amo64.{none,ugni} ledger
+// points: each parallel task reads a Word64 homed on its neighbour
+// locale under the zero latency profile, so what remains is the
+// simulator's own cost of one remote 64-bit AMO on the backend — an
+// inline active message under a handler slot (none) or a NIC atomic
+// (ugni).
+func amo64Remote(b *testing.B, backend comm.Backend) {
+	s := pgas.NewSystem(pgas.Config{Locales: Locales, Backend: backend, Seed: 42})
+	b.Cleanup(s.Shutdown)
+	var nextTask atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		src := int(nextTask.Add(1)-1) % Locales
+		c := s.Ctx(src)
+		w := pgas.NewWord64(c, (src+1)%Locales, 0)
+		for pb.Next() {
+			w.Read(c)
+		}
+	})
+}
+
+// AMO64RemoteNone is the pgas/amo64.none ledger point.
+func AMO64RemoteNone(b *testing.B) { amo64Remote(b, comm.BackendNone) }
+
+// AMO64RemoteUGNI is the pgas/amo64.ugni ledger point.
+func AMO64RemoteUGNI(b *testing.B) { amo64Remote(b, comm.BackendUGNI) }
+
+// DCASRemote is the pgas/dcas ledger point: each parallel task runs a
+// succeeding 128-bit DCAS (bumping the stamp half) on a Word128 homed
+// on its neighbour locale, under the zero latency profile. No NIC
+// offloads 128-bit atomics, so this is an active message on either
+// backend.
+func DCASRemote(b *testing.B) {
+	s := pgas.NewSystem(pgas.Config{Locales: Locales, Backend: comm.BackendUGNI, Seed: 42})
+	b.Cleanup(s.Shutdown)
+	var nextTask atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		src := int(nextTask.Add(1)-1) % Locales
+		c := s.Ctx(src)
+		w := pgas.NewWord128(c, (src+1)%Locales, 0, 0)
+		for hi := uint64(0); pb.Next(); hi++ {
+			if !w.DCAS(c, 0, hi, 0, hi+1) {
+				panic("hotpath: uncontended DCAS failed")
+			}
+		}
+	})
 }
 
 // writeStormHotKey measures the per-write cost of the aggregated

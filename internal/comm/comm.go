@@ -9,8 +9,8 @@ type Backend int
 const (
 	// BackendNone corresponds to CHPL_NETWORK_ATOMICS=none: there is no
 	// NIC offload, so locale-local atomics are native CPU atomics and
-	// every remote atomic is shipped as an active message that the
-	// target locale's progress workers execute serially.
+	// every remote atomic is shipped as an active message, whose
+	// handler occupies one of the target locale's few handler slots.
 	BackendNone Backend = iota
 
 	// BackendUGNI corresponds to CHPL_NETWORK_ATOMICS=ugni on
@@ -52,7 +52,7 @@ func ParseBackend(s string) (Backend, error) {
 // class of simulated communication. The defaults are calibrated to the
 // relative magnitudes reported for Cray Aries systems: RDMA atomics
 // complete in about a microsecond, active messages cost a few
-// microseconds of wire time plus occupancy on a progress worker, and
+// microseconds of wire time plus handler occupancy on the target, and
 // bulk transfers pay a fixed startup cost plus a per-byte cost.
 //
 // A zero profile (Zero) disables all injected delays; counters still
@@ -67,9 +67,10 @@ type LatencyProfile struct {
 	// handler to run.
 	AMRoundTripNS int64
 
-	// AMHandlerNS is the occupancy cost the target locale's progress
-	// worker pays per active-message atomic; it is what serializes AM
-	// atomics that target the same locale.
+	// AMHandlerNS is the occupancy cost of one active-message handler:
+	// it is paid while holding one of the target locale's handler slots
+	// (pgas.Config.ProgressWorkers), which is what serializes AM atomics
+	// that target the same locale.
 	AMHandlerNS int64
 
 	// PutGetNS is the latency of a small RDMA PUT or GET.

@@ -1,16 +1,18 @@
 // Package pgas implements an in-process Partitioned Global Address
 // Space runtime: the substrate the paper's constructs run on, and the
 // only layer that owns mechanism (task spawning, active-message
-// queues, batch delivery). Everything above it communicates through
-// Ctx methods, so the comm counters see every event exactly once.
+// handler slots, batch delivery). Everything above it communicates
+// through Ctx methods, so the comm counters see every event exactly
+// once.
 //
 // # Topology and tasks
 //
 // A System hosts a fixed set of locales. Each locale owns a gas.Heap
-// (its partition of the global address space), a bounded pool of
-// progress workers that execute incoming active messages (the
-// serialization the paper's "none" curves exhibit), and a slot in the
-// privatization registry. Tasks are goroutines bound to a locale
+// (its partition of the global address space), W active-message
+// handler slots — an incoming AM runs inline on its caller once it
+// holds one, so at most W handlers occupy a locale at once (the
+// serialization the paper's "none" curves exhibit) — and a slot in
+// the privatization registry. Tasks are goroutines bound to a locale
 // through a Ctx — the analogue of Chapel's implicit `here` — carrying
 // a private deterministic random stream.
 //

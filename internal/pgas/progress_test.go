@@ -7,7 +7,7 @@ import (
 	"gopgas/internal/comm"
 )
 
-// A single progress worker must still service arbitrarily many
+// A single AM handler slot must still service arbitrarily many
 // concurrent AM atomics without deadlock or lost updates — handlers
 // are terminal by construction.
 func TestSingleProgressWorker(t *testing.T) {
@@ -29,7 +29,7 @@ func TestSingleProgressWorker(t *testing.T) {
 	}
 	wg.Wait()
 	if got := w.Read(s.Ctx(0)); got != tasks*per {
-		t.Fatalf("lost updates with one progress worker: %d", got)
+		t.Fatalf("lost updates with one AM handler slot: %d", got)
 	}
 }
 
@@ -68,9 +68,9 @@ func TestHotWordConvergentTraffic(t *testing.T) {
 }
 
 // Nested on-statements (the tryReclaim pattern: coforall inside an
-// on-statement inside a coforall) must not deadlock even with minimal
-// workers, because on-statements spawn fresh tasks rather than occupy
-// progress workers.
+// on-statement inside a coforall) must not deadlock even with a single
+// AM handler slot, because on-statements run as tasks of their own and
+// never hold a handler slot.
 func TestNestedOnStatements(t *testing.T) {
 	s := NewSystem(Config{Locales: 4, Backend: comm.BackendNone, ProgressWorkers: 1})
 	defer s.Shutdown()

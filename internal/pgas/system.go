@@ -24,17 +24,12 @@ type Config struct {
 	// the calibrated benchmark profile.
 	Latency comm.LatencyProfile
 
-	// ProgressWorkers is the number of active-message handler
-	// goroutines per locale; it bounds how many AM atomics a locale can
-	// service concurrently, which is the serialization the paper's
-	// "none" curves exhibit. Defaults to 2.
+	// ProgressWorkers is W, the number of active-message handlers a
+	// locale runs at once (the serialization the paper's "none" curves
+	// exhibit): an AM runs inline on its caller inside one of the
+	// target's W handler slots, and callers waiting for a slot are the
+	// locale's AM queue. Defaults to 2.
 	ProgressWorkers int
-
-	// AMQueueDepth is the capacity of each locale's active-message
-	// queue: how many injected-but-unserviced messages a locale absorbs
-	// before senders block, modelling the NIC's bounded rx queue.
-	// 0 selects the default of 64; negative values are rejected.
-	AMQueueDepth int
 
 	// Agg configures the per-task aggregation buffers (capacity and
 	// flush policy). The zero value selects FlushOnCapacity with
@@ -107,29 +102,30 @@ type System struct {
 	privFree []int // destroyed privatization ids, recycled by NewPrivatized
 
 	closing  atomic.Bool // Shutdown entered (guards the drain sequence)
-	shutdown atomic.Bool
-	workerWG sync.WaitGroup
+	shutdown atomic.Bool // no new async work (set before the final quiesce)
+	amClosed atomic.Bool // no new active messages (set after it)
 }
 
-// Locale is one logical compute node: an id, a heap partition, a
-// progress-worker pool, and a table of privatized instances.
+// Locale is one logical compute node: an id, a heap partition, the
+// handler slots that bound its active-message occupancy, and a table
+// of privatized instances.
 type Locale struct {
 	id   int
 	sys  *System
 	heap *gas.Heap
-	amq  chan amReq
+
+	// amSlots holds one token per running AM handler (capacity W);
+	// amHandlerNS is each handler's occupancy, scaled by the locale's
+	// boot-time perturbation factor.
+	amSlots     chan struct{}
+	amHandlerNS int64
 
 	privMu    sync.RWMutex
 	privTable []any
 }
 
-type amReq struct {
-	fn   func()
-	done chan struct{}
-}
-
 // NewSystem boots a System with cfg. It panics on invalid
-// configuration; call Shutdown when done to stop the progress workers.
+// configuration; call Shutdown when done to settle outstanding work.
 func NewSystem(cfg Config) *System {
 	if cfg.Locales < 1 {
 		panic(fmt.Sprintf("pgas: Locales must be >= 1, got %d", cfg.Locales))
@@ -139,12 +135,6 @@ func NewSystem(cfg Config) *System {
 	}
 	if cfg.ProgressWorkers <= 0 {
 		cfg.ProgressWorkers = 2
-	}
-	if cfg.AMQueueDepth < 0 {
-		panic(fmt.Sprintf("pgas: AMQueueDepth must be >= 0, got %d", cfg.AMQueueDepth))
-	}
-	if cfg.AMQueueDepth == 0 {
-		cfg.AMQueueDepth = 64
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -166,45 +156,27 @@ func NewSystem(cfg Config) *System {
 	}
 	s.locales = make([]*Locale, cfg.Locales)
 	for i := range s.locales {
-		loc := &Locale{
-			id:   i,
-			sys:  s,
-			heap: gas.NewHeap(i),
-			amq:  make(chan amReq, cfg.AMQueueDepth),
-		}
-		s.locales[i] = loc
-		for w := 0; w < cfg.ProgressWorkers; w++ {
-			s.workerWG.Add(1)
-			go loc.progressWorker()
+		s.locales[i] = &Locale{
+			id:          i,
+			sys:         s,
+			heap:        gas.NewHeap(i),
+			amSlots:     make(chan struct{}, cfg.ProgressWorkers),
+			amHandlerNS: int64(float64(cfg.Latency.AMHandlerNS) * cfg.Perturb.ScaleFor(i)),
 		}
 	}
 	return s
 }
 
-// progressWorker drains the locale's active-message queue. Handlers
-// are small and terminal (an atomic op plus the modelled occupancy
-// cost); they never issue further communication, so a bounded pool
-// cannot deadlock. The occupancy cost is scaled by the locale's own
-// perturbation factor: a slow locale services its inbound AMs slowly.
-func (l *Locale) progressWorker() {
-	defer l.sys.workerWG.Done()
-	handlerNS := int64(float64(l.sys.cfg.Latency.AMHandlerNS) * l.sys.cfg.Perturb.ScaleFor(l.id))
-	for req := range l.amq {
-		comm.Delay(handlerNS)
-		req.fn()
-		req.done <- struct{}{}
-	}
-}
-
-// Shutdown settles the partition retry plane, waits for asynchronous
-// operations to quiesce, then stops all progress workers. Any
-// communication attempted after Shutdown panics; a System is not
+// Shutdown settles the partition retry plane and waits for
+// asynchronous operations to quiesce. Async launches and active
+// messages attempted after Shutdown panic; a System is not
 // restartable. The retry ledger drains *before* the shutdown flag goes
 // up: redelivered ops may legitimately launch async reroutes and AM
 // atomics, which must land inside the quiesce window, not panic
 // against a half-dead system. The flag is then set before the quiesce
-// so a racing AsyncOn either lands inside the window or is refused —
-// it can never outlive the progress workers.
+// so a racing AsyncOn either lands inside the window or is refused,
+// and active messages are closed only after it, so async work still
+// draining inside the window can issue its atomics.
 func (s *System) Shutdown() {
 	if s.closing.Swap(true) {
 		return
@@ -214,10 +186,7 @@ func (s *System) Shutdown() {
 	s.DrainParking()
 	s.shutdown.Store(true)
 	s.Quiesce()
-	for _, l := range s.locales {
-		close(l.amq)
-	}
-	s.workerWG.Wait()
+	s.amClosed.Store(true)
 }
 
 // NumLocales returns the configured locale count.
@@ -273,25 +242,25 @@ func (s *System) Run(fn func(ctx *Ctx)) {
 	fn(s.Ctx(0))
 }
 
-// amDonePool recycles the completion channels of amCall: one channel
-// per in-flight active message instead of one allocation per call. The
-// channels are buffered (capacity 1) so the progress worker's signal
-// never blocks and the channel is quiescent again by the time the
-// waiter returns it to the pool.
-var amDonePool = sync.Pool{
-	New: func() any { return make(chan struct{}, 1) },
-}
-
-// amCall ships fn from src to the target locale's progress workers and
-// waits for it to execute. It is the transport for active-message
-// atomics and remote DCAS; callers are responsible for counting the
-// event.
+// amCall executes fn as an active message from src on the target
+// locale and returns once it has run. It is the transport for
+// active-message atomics and remote DCAS; callers are responsible for
+// counting the event. The caller pays the wire round trip, then runs
+// the handler itself — inline, since it is blocked for the whole call
+// anyway — inside one of the target's W handler slots, charged the
+// target's handler occupancy. Handlers are small and terminal (an
+// atomic op); they never issue further communication, so a slot is
+// never held across a wait for another and W slots cannot deadlock.
 func (s *System) amCall(src, target int, fn func()) {
+	if s.amClosed.Load() {
+		panic("pgas: active message after Shutdown")
+	}
 	s.delay(src, target, s.cfg.Latency.AMRoundTripNS)
-	done := amDonePool.Get().(chan struct{})
-	s.locales[target].amq <- amReq{fn: fn, done: done}
-	<-done
-	amDonePool.Put(done)
+	l := s.locales[target]
+	l.amSlots <- struct{}{}
+	comm.Delay(l.amHandlerNS)
+	fn()
+	<-l.amSlots
 }
 
 // delay injects ns of simulated latency for an event between src and
@@ -308,7 +277,7 @@ func (s *System) delay(src, dst int, ns int64) {
 
 // SetPerturbation swaps the live latency fault plan: every subsequent
 // injected delay uses p. The zero Perturbation clears faults. Two
-// cfg-time captures do not follow a swap: progress-worker AM handler
+// cfg-time captures do not follow a swap: each locale's AM handler
 // occupancy (fixed at boot) and the flush-delay scaling inside
 // already-created aggregation buffers — new tasks' aggregators pick up
 // the current plan.

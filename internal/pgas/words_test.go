@@ -251,3 +251,38 @@ func TestWord128DCASAtomicityHammer(t *testing.T) {
 		t.Fatalf("final = (%d,%d), want (%d,%d)", lo, hi, tasks*per, tasks*per)
 	}
 }
+
+// TestRemoteAtomicsZeroAlloc pins the allocation contract of the
+// memory plane: a remote Word64 Read/Add/CompareAndSwap allocates
+// nothing on either backend (a NIC atomic under ugni, an inline active
+// message under none), and neither does a remote Word128 DCAS. The op
+// closures must stay on the caller's stack.
+func TestRemoteAtomicsZeroAlloc(t *testing.T) {
+	for _, backend := range []comm.Backend{comm.BackendNone, comm.BackendUGNI} {
+		t.Run(backend.String(), func(t *testing.T) {
+			s := newTestSystem(t, 2, backend)
+			c := s.Ctx(0)
+			w := NewWord64(c, 1, 0)
+			d := NewWord128(c, 1, 0, 0)
+			var hi uint64
+			ops := []struct {
+				name string
+				fn   func()
+			}{
+				{"Word64.Read", func() { w.Read(c) }},
+				{"Word64.Add", func() { w.Add(c, 1) }},
+				{"Word64.CompareAndSwap", func() { w.CompareAndSwap(c, 0, 0) }},
+				{"Word128.DCAS", func() {
+					if d.DCAS(c, 0, hi, 0, hi+1) {
+						hi++
+					}
+				}},
+			}
+			for _, op := range ops {
+				if avg := testing.AllocsPerRun(200, op.fn); avg != 0 {
+					t.Errorf("remote %s allocates %.2f/op under %s", op.name, avg, backend)
+				}
+			}
+		})
+	}
+}

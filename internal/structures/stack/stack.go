@@ -14,6 +14,7 @@ package stack
 import (
 	"sync/atomic"
 
+	"gopgas/internal/comm"
 	"gopgas/internal/core/atomics"
 	"gopgas/internal/core/epoch"
 	"gopgas/internal/gas"
@@ -82,6 +83,7 @@ func (s *Stack[T]) Push(c *pgas.Ctx, tok *epoch.Token, v T) {
 	addr := c.Alloc(n)
 	tok.Pin(c)
 	defer tok.Unpin(c)
+	var b backoff
 	for {
 		oldHead := s.head.ReadABA(c)
 		n.next = oldHead.Object()
@@ -89,6 +91,7 @@ func (s *Stack[T]) Push(c *pgas.Ctx, tok *epoch.Token, v T) {
 			s.pushes.Add(1)
 			return
 		}
+		b.wait()
 	}
 }
 
@@ -115,6 +118,7 @@ func (s *Stack[T]) PushBulk(c *pgas.Ctx, tok *epoch.Token, vals []T) {
 	top := addrs[len(addrs)-1]
 	tok.Pin(c)
 	defer tok.Unpin(c)
+	var b backoff
 	for {
 		oldHead := s.head.ReadABA(c)
 		nodes[0].next = oldHead.Object()
@@ -122,6 +126,7 @@ func (s *Stack[T]) PushBulk(c *pgas.Ctx, tok *epoch.Token, vals []T) {
 			s.pushes.Add(int64(len(vals)))
 			return
 		}
+		b.wait()
 	}
 }
 
@@ -132,6 +137,7 @@ func (s *Stack[T]) PushBulk(c *pgas.Ctx, tok *epoch.Token, vals []T) {
 func (s *Stack[T]) Pop(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 	tok.Pin(c)
 	defer tok.Unpin(c)
+	var b backoff
 	for {
 		oldHead := s.head.ReadABA(c)
 		if oldHead.IsNil() {
@@ -144,6 +150,7 @@ func (s *Stack[T]) Pop(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 			s.pops.Add(1)
 			return n.val, true
 		}
+		b.wait()
 	}
 }
 
@@ -187,4 +194,22 @@ type Stats struct {
 // Stats returns the stack's counters.
 func (s *Stack[T]) Stats() Stats {
 	return Stats{Pushes: s.pushes.Load(), Pops: s.pops.Load(), Empty: s.empty.Load()}
+}
+
+// backoff spaces out the retries of a lost head CAS: 128 ns after the
+// first loss, doubling up to 8 us. Without it a task whose head read
+// and CAS are remote loses nearly every race against the home locale's
+// own tasks, whose processor atomics are far cheaper, and spends one
+// remote read plus one remote DCAS per lost round for as long as they
+// keep pushing and popping.
+type backoff struct{ ns int64 }
+
+func (b *backoff) wait() {
+	if b.ns == 0 {
+		b.ns = 128
+	}
+	comm.Delay(b.ns)
+	if b.ns < 8192 {
+		b.ns *= 2
+	}
 }
